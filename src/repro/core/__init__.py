@@ -8,31 +8,41 @@
 * :class:`~repro.core.multirank.MultiRank` — the unsupervised object /
   relation co-ranking substrate (Ng et al.) that T-Mark extends.
 * :mod:`~repro.core.features` — the cosine feature-transition matrix ``W``
-  (Eq. 9).
+  (Eq. 9), dense or as the exact :class:`FactoredCosineWalk`.
 * :mod:`~repro.core.labels` — the restart vector ``l`` (Eq. 11) and its
   iterative update (Eq. 12).
 """
 
 from repro.core.convergence import ChainHistory
 from repro.core.features import (
+    FactoredCosineWalk,
     cosine_similarity_matrix,
+    factored_walk_applies,
     feature_transition_matrix,
     jaccard_similarity_matrix,
     rbf_similarity_matrix,
     topk_cosine_transition_matrix,
+    unit_feature_rows,
 )
 from repro.core.har import HAR, HARResult
 from repro.core.labels import initial_label_vector, updated_label_vector
 from repro.core.multirank import MultiRank, MultiRankResult
 from repro.core.persistence import load_result, save_result
 from repro.core.tensorrrcc import TensorRrCc
-from repro.core.tmark import TMark, TMarkOperators, TMarkResult, build_operators
+from repro.core.tmark import (
+    TMark,
+    TMarkOperators,
+    TMarkResult,
+    build_feature_walk,
+    build_operators,
+)
 
 __all__ = [
     "TMark",
     "TMarkResult",
     "TMarkOperators",
     "build_operators",
+    "build_feature_walk",
     "TensorRrCc",
     "MultiRank",
     "MultiRankResult",
@@ -46,6 +56,9 @@ __all__ = [
     "jaccard_similarity_matrix",
     "feature_transition_matrix",
     "topk_cosine_transition_matrix",
+    "FactoredCosineWalk",
+    "factored_walk_applies",
+    "unit_feature_rows",
     "initial_label_vector",
     "updated_label_vector",
 ]

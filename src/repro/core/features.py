@@ -15,6 +15,14 @@ Practical details the paper leaves implicit, resolved here:
 * dense ``C`` is O(n^2) memory; ``top_k`` keeps only the strongest ``k``
   similarities per column (plus the diagonal) for large networks — an
   ablation bench quantifies the accuracy cost.
+
+For non-negative features — the bag-of-words features of every paper
+dataset — the clip is a no-op and cosine ``W`` factors exactly:
+with ``N`` the row-normalised features and ``s = N (N^T 1)`` the column
+masses, ``W X = N (N^T (X / s))`` plus a uniform term for the
+zero-feature columns.  :class:`FactoredCosineWalk` applies that form in
+``O(nnz(N) q)`` per product without ever holding an ``n x n`` array;
+:func:`feature_transition_matrix` stays the dense reference.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from repro.errors import ValidationError
+from repro.errors import ShapeError, ValidationError
 from repro.utils.validation import check_positive_int
 
 
@@ -112,24 +120,6 @@ def jaccard_similarity_matrix(features) -> np.ndarray:
 
 #: Similarity functions selectable in :func:`feature_transition_matrix`.
 SIMILARITY_METRICS = ("cosine", "rbf", "jaccard")
-
-
-def normalise_similarity_columns(sims: np.ndarray) -> np.ndarray:
-    """The Eq. 9 tail: column-normalise ``sims``, zero columns uniform.
-
-    Mutates ``sims`` in place (zero columns are overwritten with ones)
-    and returns the normalised matrix.  Shared by
-    :func:`feature_transition_matrix` and the streaming ``W`` patcher —
-    one code path is what keeps the patched matrix bit-identical to a
-    rebuild given the same similarity values.
-    """
-    col_sums = sims.sum(axis=0)
-    zero_cols = col_sums == 0
-    if np.any(zero_cols):
-        # Featureless nodes: uniform column, as with dangling fibres.
-        sims[:, zero_cols] = 1.0
-        col_sums = sims.sum(axis=0)
-    return sims / col_sums[None, :]
 
 
 def topk_cosine_transition_matrix(
@@ -275,7 +265,159 @@ def feature_transition_matrix(
             keep[idx, np.arange(n)[None, :].repeat(top_k, axis=0)] = True
             keep[np.diag_indices(n)] = True
             sims = np.where(keep, sims, 0.0)
-    result = normalise_similarity_columns(sims)
+    col_sums = sims.sum(axis=0)
+    zero_cols = col_sums == 0
+    if np.any(zero_cols):
+        # Featureless nodes: uniform column, as with dangling fibres.
+        sims[:, zero_cols] = 1.0
+        col_sums = sims.sum(axis=0)
+    result = sims / col_sums[None, :]
     if top_k is not None:
         return sp.csr_matrix(result)
     return result
+
+
+def factored_walk_applies(
+    features, *, top_k: int | None = None, metric: str = "cosine"
+) -> bool:
+    """Whether :class:`FactoredCosineWalk` is the exact ``W`` for these settings.
+
+    True for cosine similarity without ``top_k`` on non-negative
+    features, dense or sparse.  Signed features need Eq. 9's clip of
+    negative similarities, which has no low-rank form; rbf, jaccard and
+    top-k have none either.
+    """
+    if metric != "cosine" or top_k is not None:
+        return False
+    if sp.issparse(features):
+        return features.nnz == 0 or features.min() >= 0
+    feats = np.asarray(features)
+    return feats.size == 0 or bool(feats.min() >= 0)
+
+
+def unit_feature_rows(features) -> sp.csr_matrix:
+    """Row-normalised features ``N`` as canonical CSR (zero rows stay empty).
+
+    Every row's norm and entries depend on that row alone (a sequential
+    per-row sum of squares), so rows normalised one at a time carry the
+    same bits as rows normalised with the whole matrix — what lets the
+    streaming layer replace rows of ``N`` instead of rebuilding it.
+    """
+    if sp.issparse(features):
+        unit = sp.csr_matrix(features, dtype=float, copy=True)
+        unit.sum_duplicates()
+        unit.eliminate_zeros()
+    else:
+        feats = np.asarray(features, dtype=float)
+        if feats.ndim != 2:
+            raise ValidationError(f"features must be 2-D, got shape {feats.shape}")
+        unit = sp.csr_matrix(feats)
+    rows = np.repeat(np.arange(unit.shape[0]), np.diff(unit.indptr))
+    norms = np.sqrt(
+        np.bincount(rows, weights=unit.data * unit.data, minlength=unit.shape[0])
+    )
+    unit.data /= norms[rows]
+    return unit
+
+
+class FactoredCosineWalk:
+    """The cosine ``W`` of Eq. 9 in exact factored form, applied by ``@``.
+
+    For non-negative features ``W = N N^T diag(1/s)`` on the columns of
+    nodes with features and ``1/n`` on the columns of zero-feature
+    nodes, where ``N`` is :func:`unit_feature_rows` and ``s = N (N^T 1)``.
+    ``W @ X`` therefore costs two sparse products with ``N`` instead of an
+    ``n x n`` GEMM, and the operator holds ``O(nnz(N) + n)`` memory.
+    Every output element is accumulated in a fixed order whatever the
+    number of columns of ``X``, so products are reproducible bit for bit
+    across batch widths and shard counts.
+
+    Build with :meth:`from_features`; ``feature_transition_matrix`` is
+    the dense reference it equals to rounding (about ``1e-17``).
+    """
+
+    __slots__ = ("unit", "inv_mass", "zero", "_unit_t", "_zero_indicator")
+
+    def __init__(self, unit: sp.csr_matrix):
+        unit = sp.csr_matrix(unit)
+        n, d = unit.shape
+        #: ``(n, d)`` row-normalised features ``N``.
+        self.unit = unit
+        #: Nodes without features: their ``W`` columns are uniform.
+        self.zero = np.diff(unit.indptr) == 0
+        # s = N (N^T 1): bincount sums each feature column in node order,
+        # the CSR matvec each node's row in feature order.
+        mass = unit @ np.bincount(unit.indices, weights=unit.data, minlength=d)
+        #: Reciprocal column masses ``1/s``; zero on zero-feature columns.
+        self.inv_mass = np.zeros(n)
+        self.inv_mass[~self.zero] = 1.0 / mass[~self.zero]
+        self._unit_t = unit.T.tocsr()
+        self._zero_indicator = sp.csr_matrix(self.zero[None, :].astype(float))
+
+    @classmethod
+    def from_features(cls, features) -> "FactoredCosineWalk":
+        """The operator for an ``(n, d)`` non-negative feature matrix."""
+        if not factored_walk_applies(features):
+            raise ValidationError(
+                "the factored cosine walk requires non-negative features"
+            )
+        return cls(unit_feature_rows(features))
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """Logical matrix shape ``(n, n)``."""
+        n = self.unit.shape[0]
+        return (n, n)
+
+    def __matmul__(self, x):
+        x = np.asarray(x, dtype=float)
+        n = self.unit.shape[0]
+        if x.ndim not in (1, 2) or x.shape[0] != n:
+            raise ShapeError(
+                f"W @ x needs x of shape ({n},) or ({n}, q), got {x.shape}"
+            )
+        scale = self.inv_mass if x.ndim == 1 else self.inv_mass[:, None]
+        out = self.unit @ (self._unit_t @ (x * scale))
+        if self._zero_indicator.nnz:
+            out += (self._zero_indicator @ x) / n
+        return out
+
+    def with_rows(
+        self, rows, unit_rows: sp.csr_matrix, n: int
+    ) -> "FactoredCosineWalk":
+        """The operator after replacing rows of ``N`` and growing it to ``n``.
+
+        ``rows`` (sorted, unique, each ``< n``) index the nodes whose
+        features changed or that are new; ``unit_rows`` holds their
+        normalised features in the same order.  Rows past the current
+        count that are not listed stay empty (zero-feature nodes).  The
+        masses are recomputed in ``O(nnz)``, so the result equals
+        :meth:`from_features` on the new feature matrix bit for bit.
+        """
+        old = self.unit
+        n_old = old.shape[0]
+        counts = np.zeros(n, dtype=np.int64)
+        counts[:n_old] = np.diff(old.indptr)
+        data, indices = [], []
+        copied = 0  # old rows [0, copied) are already placed
+        for pos, row in enumerate(np.asarray(rows, dtype=np.int64).tolist()):
+            stop = min(row, n_old)
+            if copied < stop:
+                lo, hi = old.indptr[copied], old.indptr[stop]
+                data.append(old.data[lo:hi])
+                indices.append(old.indices[lo:hi])
+            lo, hi = unit_rows.indptr[pos], unit_rows.indptr[pos + 1]
+            data.append(unit_rows.data[lo:hi])
+            indices.append(unit_rows.indices[lo:hi])
+            counts[row] = hi - lo
+            copied = max(copied, min(row + 1, n_old))
+        data.append(old.data[old.indptr[copied] :])
+        indices.append(old.indices[old.indptr[copied] :])
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(counts, out=indptr[1:])
+        return type(self)(
+            sp.csr_matrix(
+                (np.concatenate(data), np.concatenate(indices), indptr),
+                shape=(n, old.shape[1]),
+            )
+        )

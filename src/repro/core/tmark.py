@@ -34,7 +34,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.convergence import ChainHistory
-from repro.core.features import feature_transition_matrix
+from repro.core.features import (
+    FactoredCosineWalk,
+    factored_walk_applies,
+    feature_transition_matrix,
+)
 from repro.core.labels import (
     THRESHOLD_MODES,
     initial_label_vector,
@@ -52,7 +56,12 @@ from repro.solvers.base import (
     propose_safeguarded,
 )
 from repro.tensor.transition import build_transition_tensors
-from repro.utils.simplex import project_to_simplex, uniform_distribution
+from repro.utils.simplex import (
+    project_columns_to_simplex,
+    project_to_simplex,
+    simplex_deviation,
+    uniform_distribution,
+)
 from repro.utils.validation import (
     check_fraction,
     check_positive_int,
@@ -86,6 +95,20 @@ class TMarkOperators:
     similarity_metric: str
 
 
+def build_feature_walk(features, *, top_k=None, metric: str = "cosine"):
+    """The feature-walk operator ``W`` for ``features``.
+
+    A :class:`~repro.core.features.FactoredCosineWalk` when the exact
+    factored form applies (cosine, no ``top_k``, non-negative features),
+    else the dense or top-k Eq. 9 matrix.  The choice follows from the
+    settings and the sign of the features alone; no ``n x n`` array is
+    allocated on the factored path.
+    """
+    if factored_walk_applies(features, top_k=top_k, metric=metric):
+        return FactoredCosineWalk.from_features(features)
+    return feature_transition_matrix(features, top_k=top_k, metric=metric)
+
+
 def build_operators(
     hin: HIN,
     *,
@@ -100,6 +123,8 @@ def build_operators(
     matrix (e.g. ``hin.masked(...)`` views), skipping the operator
     construction — the dominant fixed cost of parameter sweeps.
 
+    ``W`` comes from :func:`build_feature_walk`.
+
     ``recorder`` (default: the ambient :func:`repro.obs.get_recorder`)
     receives one ``operator_build`` event with the O/R and W
     construction wall-clock split.
@@ -109,7 +134,7 @@ def build_operators(
         started = time.perf_counter()
         o_tensor, r_tensor = build_transition_tensors(hin.tensor)
         transition_done = time.perf_counter()
-        w_matrix = feature_transition_matrix(
+        w_matrix = build_feature_walk(
             hin.features, top_k=similarity_top_k, metric=similarity_metric
         )
         if rec.enabled:
@@ -778,8 +803,7 @@ class TMark:
                 x_new = x_new + beta * (w_matrix @ x_active)
             if timed:
                 timer.start("projection")
-            for idx in range(len(active)):
-                x_new[:, idx] = project_to_simplex(x_new[:, idx])
+            x_new = project_columns_to_simplex(x_new)
             if use_solver:
                 if timed:
                     # Pause the phase clock: proposal time is reported on
@@ -828,8 +852,9 @@ class TMark:
                 timer.start("projection")
             still_active = []
             residuals = [] if timed else None
+            z_new = project_columns_to_simplex(z_new)
             for idx, c in enumerate(active):
-                z_col = project_to_simplex(z_new[:, idx])
+                z_col = z_new[:, idx]
                 rho = histories[c].record(
                     x_new[:, idx], x_scores[:, c], z_col, z_scores[:, c]
                 )
@@ -867,15 +892,17 @@ class TMark:
                         )
                     else:
                         n_accepted = -1
+                    x_drift, x_min, x_negative = simplex_deviation(x_new)
+                    z_drift, z_min, z_negative = simplex_deviation(z_active)
                     rec.emit(
                         "invariant_probe",
                         t=t,
                         n_active=len(active),
-                        x_mass_drift=float(np.abs(x_new.sum(axis=0) - 1.0).max()),
-                        z_mass_drift=float(np.abs(z_active.sum(axis=0) - 1.0).max()),
-                        x_min=float(x_new.min()),
-                        z_min=float(z_active.min()),
-                        n_negative=int((x_new < 0.0).sum() + (z_active < 0.0).sum()),
+                        x_mass_drift=x_drift,
+                        z_mass_drift=z_drift,
+                        x_min=x_min,
+                        z_min=z_min,
+                        n_negative=x_negative + z_negative,
                         n_accepted=n_accepted,
                         o_dangling_share=o_dangling_share,
                         r_unlinked_share=r_unlinked_share,

@@ -22,6 +22,43 @@ from repro.errors import ShapeError, ValidationError
 from repro.tensor.sptensor import SparseTensor3
 
 
+class _RowEditedFeatures:
+    """Dense features: a base matrix with some rows replaced or appended.
+
+    Made by :meth:`HIN.features_with_rows`.  The ``(n, d)`` copy is made
+    on the first read of :attr:`HIN.features` instead of once per delta
+    batch, so a consumer that needs only the edited rows (the streaming
+    feature walk) never pays for it.  Edits on top of an unread instance
+    fold into it, so the base is always a real array.
+    """
+
+    __slots__ = ("_base", "_rows", "shape", "_dense")
+
+    def __init__(self, base, rows: dict, n_rows: int):
+        if isinstance(base, _RowEditedFeatures):
+            if base._dense is None:
+                rows = {**base._rows, **rows}
+                base = base._base
+            else:
+                base = base._dense
+        self._base = base
+        self._rows = rows
+        self.shape = (n_rows, base.shape[1])
+        self._dense = None
+
+    def dense(self) -> np.ndarray:
+        """The materialised matrix (built once, then cached)."""
+        if self._dense is None:
+            dense = np.empty(self.shape)
+            n_base = self._base.shape[0]
+            dense[:n_base] = self._base
+            dense[n_base:] = 0.0
+            for idx, row in self._rows.items():
+                dense[idx] = row
+            self._dense = dense
+        return self._dense
+
+
 class HIN:
     """An attributed heterogeneous information network over one node type.
 
@@ -47,6 +84,9 @@ class HIN:
     metadata:
         Free-form dict for generator ground truth (e.g. the conference ->
         area map behind Table 2).
+    _features_checked:
+        Internal: the feature values are known finite (a derived HIN
+        reusing validated rows), so the ``O(n d)`` scan is skipped.
     """
 
     def __init__(
@@ -60,6 +100,7 @@ class HIN:
         node_names: Sequence[str] | None = None,
         multilabel: bool = False,
         metadata: dict | None = None,
+        _features_checked: bool = False,
     ):
         if not isinstance(tensor, SparseTensor3):
             raise ValidationError(
@@ -76,15 +117,25 @@ class HIN:
         if len(set(relation_names)) != m:
             raise ValidationError("relation names must be distinct")
 
-        if sp.issparse(features):
+        if isinstance(features, _RowEditedFeatures):
+            pass  # base rows from a HIN, edited rows from validated deltas
+        elif sp.issparse(features):
             features = sp.csr_matrix(features, dtype=float)
-            if features.nnz and not np.all(np.isfinite(features.data)):
+            if (
+                not _features_checked
+                and features.nnz
+                and not np.all(np.isfinite(features.data))
+            ):
                 raise ValidationError("features contain non-finite values")
         else:
             features = np.asarray(features, dtype=float)
             if features.ndim != 2:
                 raise ShapeError(f"features must be 2-D, got shape {features.shape}")
-            if features.size and not np.all(np.isfinite(features)):
+            if (
+                not _features_checked
+                and features.size
+                and not np.all(np.isfinite(features))
+            ):
                 raise ValidationError("features contain non-finite values")
         if features.shape[0] != n:
             raise ShapeError(
@@ -185,6 +236,8 @@ class HIN:
     @property
     def features(self):
         """The ``(n, d)`` feature matrix (dense ndarray or CSR)."""
+        if isinstance(self._features, _RowEditedFeatures):
+            self._features = self._features.dense()
         return self._features
 
     @property
@@ -194,9 +247,29 @@ class HIN:
 
     def features_dense(self) -> np.ndarray:
         """Return the feature matrix as a dense array."""
+        features = self.features
+        if sp.issparse(features):
+            return features.toarray()
+        return np.asarray(features)
+
+    def features_with_rows(self, rows: dict, n_rows: int):
+        """These features with ``rows`` (node index -> vector) replaced or appended.
+
+        The feature matrix for a derived ``n_rows``-node HIN: CSR when the
+        features are sparse; for dense features a deferred matrix that the
+        new HIN builds on the first read of :attr:`features`, so editing a
+        few rows does not copy all ``n x d`` values up front.  Appended
+        rows missing from ``rows`` are zero.
+        """
+        if not rows and n_rows == self.n_nodes:
+            return self._features
         if sp.issparse(self._features):
-            return self._features.toarray()
-        return np.asarray(self._features)
+            features = sp.lil_matrix((n_rows, self.n_features), dtype=float)
+            features[: self.n_nodes] = self._features
+            for idx, row in rows.items():
+                features[idx] = row
+            return features.tocsr()
+        return _RowEditedFeatures(self._features, rows, n_rows)
 
     # ------------------------------------------------------------------
     # Label views
@@ -263,6 +336,7 @@ class HIN:
             node_names=self._node_names,
             multilabel=self._multilabel,
             metadata=self.metadata,
+            _features_checked=True,
         )
 
     def masked(self, train_mask: np.ndarray) -> "HIN":
@@ -303,6 +377,7 @@ class HIN:
             node_names=self._node_names,
             multilabel=self._multilabel,
             metadata=self.metadata,
+            _features_checked=True,
         )
 
     def __repr__(self) -> str:

@@ -51,6 +51,20 @@ def _jsonable(value):
     return value
 
 
+def _json_default(value):
+    """``json`` fallback: the numpy values :func:`_jsonable` coerces."""
+    coerced = _jsonable(value)
+    if coerced is value:
+        raise TypeError(f"{type(value).__name__} is not JSON serializable")
+    return coerced
+
+
+#: One encoder for every line: ``json.dumps(..., default=...)`` would
+#: build a fresh encoder per event.  Plain ``float`` subclasses (numpy
+#: float64) encode natively; other numpy values reach ``_json_default``.
+_ENCODE = json.JSONEncoder(default=_json_default).encode
+
+
 class JsonlTraceRecorder(Recorder):
     """Write every event as one JSON line to ``path``.
 
@@ -87,8 +101,12 @@ class JsonlTraceRecorder(Recorder):
         ctx = current_span()
         if ctx is not None and "span_id" not in fields:
             record["span_id"] = ctx.span_id
-        record.update(_jsonable(fields))
-        self._handle.write(json.dumps(record) + "\n")
+        record.update(fields)
+        try:
+            line = _ENCODE(record)
+        except TypeError:  # e.g. numpy dict keys: coerce the whole record
+            line = json.dumps(_jsonable(record))
+        self._handle.write(line + "\n")
         self.n_events += 1
         self._unflushed += 1
         if self._unflushed >= self.flush_every or event in FLUSH_EVENTS:

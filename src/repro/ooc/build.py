@@ -19,15 +19,20 @@ The written values are **bit-identical** to the in-RAM build:
   ``mode3_fibre_sums`` addition for addition — *without* ever
   allocating that method's dense ``n^2`` array, which is what caps the
   in-RAM build at a few hundred thousand nodes;
-* ``W`` — small stores reuse the dense Eq. 9 code verbatim; larger
-  stores require ``similarity_top_k`` and go through the (already
-  chunked) top-k cosine path.
+* ``W`` — cosine on non-negative features (the default) stores the
+  row-normalised features ``N`` of the exact
+  :class:`~repro.core.features.FactoredCosineWalk` (its masses ``s`` are
+  recomputed from ``N`` on load in ``O(nnz)``), so no ``n x n`` array is
+  written at any size; signed features and rbf/jaccard on small stores
+  reuse the dense Eq. 9 code verbatim; ``similarity_top_k`` goes through
+  the (already chunked) top-k cosine path.
 
 Artifacts land in ``<store>/operators/``: ``o.rel<k>.data.npy`` and
 ``r.rel<k>.data.npy`` share the raw store's ``indices``/``indptr`` (the
 sparsity pattern is unchanged by normalisation), ``o.nondangling.npy``
 is the ``(m, n)`` non-dangling column mask, ``pair.indices.npy`` /
-``pair.indptr.npy`` hold the linked-pair CSC pattern, and
+``pair.indptr.npy`` hold the linked-pair CSC pattern, ``w.unit.*.npy``
+(factored), ``w.npy`` (dense) or ``w.*.npy`` (top-k) hold ``W``, and
 ``operators.json`` records the build parameters plus the store
 fingerprint so a stale cache is detected and rebuilt.  One
 ``operator_build`` obs event is emitted per chunk.
@@ -40,9 +45,12 @@ import time
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro.core.features import (
     SIMILARITY_METRICS,
+    FactoredCosineWalk,
+    factored_walk_applies,
     feature_transition_matrix,
     topk_cosine_transition_matrix,
 )
@@ -66,9 +74,10 @@ OPERATORS_FORMAT_VERSION = 1
 #: The cache manifest inside ``<store>/operators/``.
 OPERATORS_MANIFEST = "operators.json"
 
-#: Largest store for which a dense ``W`` (``similarity_top_k=None``) is
-#: built; beyond this the dense ``(n, n)`` matrix stops being an
-#: out-of-core operator in any meaningful sense.
+#: Largest store for which a dense ``W`` (signed features, rbf or
+#: jaccard without ``similarity_top_k``) is built; beyond this the dense
+#: ``(n, n)`` matrix stops being an out-of-core operator in any
+#: meaningful sense.  The factored cosine walk has no such limit.
 MAX_DENSE_W_NODES = 8192
 
 #: Column-block cap for the top-k cosine similarity pass (each block
@@ -226,10 +235,19 @@ def _build_w(
     n = store.n_nodes
     emit = rec.enabled
     started = time.perf_counter() if emit else 0.0
-    if similarity_top_k is None:
+    if similarity_top_k is None and factored_walk_applies(
+        store.features, metric=similarity_metric
+    ):
+        unit = FactoredCosineWalk.from_features(store.features).unit
+        for name in ("data", "indices", "indptr"):
+            np.save(ops_dir / f"w.unit.{name}.npy", getattr(unit, name))
+        mode = "factored"
+        nnz = int(unit.nnz)
+    elif similarity_top_k is None:
         if n > MAX_DENSE_W_NODES:
             raise ValidationError(
-                f"a dense W for {n} nodes is not an out-of-core operator; "
+                f"a dense W ({similarity_metric!r} similarity, or signed "
+                f"features) for {n} nodes is not an out-of-core operator; "
                 f"set similarity_top_k (chunked top-k cosine) or gamma=0 "
                 f"to skip the feature walk (dense limit: {MAX_DENSE_W_NODES})"
             )
@@ -321,6 +339,14 @@ def _assemble(store: GraphStore, ops_dir: Path, manifest: dict,
     w_mode = manifest["w_mode"]
     if w_mode == "none":
         w_matrix = None
+    elif w_mode == "factored":
+        data, indices, indptr = (
+            np.load(ops_dir / f"w.unit.{name}.npy")
+            for name in ("data", "indices", "indptr")
+        )
+        w_matrix = FactoredCosineWalk(
+            sp.csr_matrix((data, indices, indptr), shape=(n, store.n_features))
+        )
     elif w_mode == "dense":
         w_matrix = ChunkedFeatureWalk(
             "dense", (ops_dir / "w.npy",), n=n, chunk_size=chunk_size

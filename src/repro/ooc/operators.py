@@ -314,9 +314,12 @@ class ChunkedFeatureWalk:
 
     Two storage modes (see :mod:`repro.ooc.build`): ``dense`` — a single
     mmap'd ``(n, n)`` array built by the exact in-RAM Eq. 9 code (small
-    stores only, values bit-identical) — and ``csc`` — the chunked top-k
-    cosine matrix streamed column-block by column-block like the
-    transition slices.
+    stores with signed features or rbf/jaccard only, values
+    bit-identical) — and ``csc`` — the chunked top-k cosine matrix
+    streamed column-block by column-block like the transition slices.
+    The default cosine walk on non-negative features is not one of
+    these: the store holds its factors and loads them as a
+    :class:`~repro.core.features.FactoredCosineWalk`.
     """
 
     def __init__(self, mode: str, files, *, n: int,
@@ -396,7 +399,12 @@ class ChunkedOperators:
         self.directory = directory
 
     def __repr__(self) -> str:
-        w_mode = self.w_matrix.mode if self.w_matrix is not None else "none"
+        # Stored walks carry a storage mode; the factored one is in RAM.
+        w_mode = (
+            "none"
+            if self.w_matrix is None
+            else getattr(self.w_matrix, "mode", "factored")
+        )
         return (
             f"ChunkedOperators(shape={self.shape}, chunk_size={self.chunk_size}, "
             f"w={w_mode!r}, directory={str(self.directory)!r})"

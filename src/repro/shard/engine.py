@@ -2,9 +2,11 @@
 
 :func:`run_chains_sharded` is the multi-process twin of
 ``TMark._run_chains_batched``: the same lockstep per-class iteration,
-with the two heavy per-iteration products — the O-propagation /
-feature-walk and the R-contraction — dispatched shard by shard to
-fork-based workers.  Everything else (Eq. 12 label updates, simplex
+with the two heavy per-iteration products — the O-propagation and the
+R-contraction — dispatched shard by shard to fork-based workers.  The
+feature walk is sharded only when ``W`` is a stored sparse (top-k)
+matrix; the factored cosine walk and a dense ``W`` run on the
+coordinator.  Everything else (Eq. 12 label updates, simplex
 projections, solver proposals, residual bookkeeping, every telemetry
 event) runs on the coordinator with the *literal* serial statements, so
 the two runners cannot drift apart behaviourally.
@@ -52,6 +54,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.core.convergence import ChainHistory
+from repro.core.features import FactoredCosineWalk
 from repro.core.labels import initial_label_vector, updated_label_vector
 from repro.errors import ValidationError
 from repro.experiments.parallel import (
@@ -66,7 +69,12 @@ from repro.ooc.operators import _csc_block, release_pages
 from repro.shard.plan import ShardPlan, plan_shards
 from repro.solvers.base import PLAIN_SOLVER, make_solver, propose_safeguarded
 from repro.tensor.transition import _column_sums
-from repro.utils.simplex import project_to_simplex, uniform_distribution
+from repro.utils.simplex import (
+    project_columns_to_simplex,
+    project_to_simplex,
+    simplex_deviation,
+    uniform_distribution,
+)
 from repro.utils.validation import check_positive_int
 
 
@@ -413,12 +421,15 @@ def run_chains_sharded(
         o_tensor, r_tensor, w_matrix if beta > 0.0 else None, shards
     )
     n_workers = min(plan.n_shards, workers or available_workers())
-    # A dense feature-walk GEMM is the one product whose row blocks BLAS
-    # does not reproduce bit-for-bit, so under the rows policy the
-    # coordinator keeps it whole (the literal serial statement); sparse
-    # W row blocks are exact and stay sharded.
-    parent_feature_walk = (
-        plan.policy == "rows" and beta > 0.0 and not sp.issparse(w_matrix)
+    # The coordinator keeps the feature walk whole (the literal serial
+    # statement) unless W is a stored matrix the workers can block: the
+    # factored cosine walk costs O(nnz(N) q), too little to be worth a
+    # split, and under the rows policy a dense GEMM's row blocks do not
+    # reproduce BLAS's whole-matrix rounding.  Sparse W row blocks are
+    # exact and stay sharded.
+    parent_feature_walk = beta > 0.0 and (
+        isinstance(w_matrix, FactoredCosineWalk)
+        or (plan.policy == "rows" and not sp.issparse(w_matrix))
     )
 
     L = _shared_array((n, q))
@@ -567,10 +578,11 @@ def run_chains_sharded(
                             totals - _column_sums(z_act * covered), 0.0
                         )
                         x_new += relational_weight * (dangling / n)
+                    if parent_feature_walk:
+                        x_new += beta * (w_matrix @ X[:, active])
                 if timed:
                     timer.start("projection")
-                for idx in range(len(active)):
-                    x_new[:, idx] = project_to_simplex(x_new[:, idx])
+                x_new = project_columns_to_simplex(x_new)
                 if use_solver:
                     if timed:
                         timer.stop()
@@ -642,8 +654,9 @@ def run_chains_sharded(
                     timer.start("projection")
                 still_active = []
                 residuals = [] if timed else None
+                z_new = project_columns_to_simplex(z_new)
                 for idx, c in enumerate(active):
-                    z_col = project_to_simplex(z_new[:, idx])
+                    z_col = z_new[:, idx]
                     rho = histories[c].record(
                         x_new[:, idx], X[:, c], z_col, Z[:, c]
                     )
@@ -693,21 +706,17 @@ def run_chains_sharded(
                             )
                         else:
                             n_accepted = -1
+                        x_drift, x_min, x_negative = simplex_deviation(x_new)
+                        z_drift, z_min, z_negative = simplex_deviation(z_active)
                         rec.emit(
                             "invariant_probe",
                             t=t,
                             n_active=len(active),
-                            x_mass_drift=float(
-                                np.abs(x_new.sum(axis=0) - 1.0).max()
-                            ),
-                            z_mass_drift=float(
-                                np.abs(z_active.sum(axis=0) - 1.0).max()
-                            ),
-                            x_min=float(x_new.min()),
-                            z_min=float(z_active.min()),
-                            n_negative=int(
-                                (x_new < 0.0).sum() + (z_active < 0.0).sum()
-                            ),
+                            x_mass_drift=x_drift,
+                            z_mass_drift=z_drift,
+                            x_min=x_min,
+                            z_min=z_min,
+                            n_negative=x_negative + z_negative,
                             n_accepted=n_accepted,
                             o_dangling_share=o_dangling_share,
                             r_unlinked_share=r_unlinked_share,

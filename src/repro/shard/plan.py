@@ -8,7 +8,8 @@ operator kind:
 * ``"rows"`` — in-memory :class:`~repro.tensor.transition` operators.
   Shard ``s`` owns output rows ``[start, stop)`` of every per-iteration
   product; the planner balances the summed per-row stored-entry counts
-  of the O/R slices (plus the feature-walk matrix when sparse), because
+  of the O/R slices (plus the feature-walk matrix when it is a stored
+  sparse matrix; other walks run on the coordinator), because
   a row's propagation cost is proportional to its entries.  CSR row
   blocks reproduce the corresponding rows of the full products
   bit-for-bit, which is what lets the engine promise bit-identical
@@ -209,12 +210,8 @@ def plan_shards(o_tensor, r_tensor, w_matrix, n_shards: int) -> ShardPlan:
             blocks = list(o_tensor.row_blocks(start, stop))
             blocks += list(r_tensor.row_blocks(start, stop))
             blocks.append(r_tensor.pair_rows(start, stop))
-            if w_matrix is not None:
-                blocks.append(
-                    w_matrix[start:stop]
-                    if sp.issparse(w_matrix)
-                    else np.asarray(w_matrix)[start:stop]
-                )
+            if sp.issparse(w_matrix) or isinstance(w_matrix, np.ndarray):
+                blocks.append(w_matrix[start:stop])
             halo = _row_halo(start, stop, blocks, n)
         else:
             halo = np.empty(0, dtype=np.int64)

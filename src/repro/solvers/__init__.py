@@ -31,8 +31,8 @@ iteration per class:
   near 1) onto Anderson while leaving healthy chains on the cheap plain
   step;
 * :mod:`~repro.solvers.lowrank` — a randomized-SVD factorized path for
-  the dense-ish ``W`` feature operator with an a-priori bound on the
-  induced prediction error.
+  a dense ``W`` feature operator (signed features, rbf, jaccard) with an
+  a-priori bound on the induced prediction error.
 
 Every accelerator carries the same two guarantees:
 
@@ -63,7 +63,6 @@ from repro.solvers.base import (
 from repro.solvers.lowrank import (
     LowRankMatrix,
     compress_matrix,
-    compress_operators,
     prediction_error_bound,
     randomized_svd,
 )
@@ -81,6 +80,5 @@ __all__ = [
     "LowRankMatrix",
     "randomized_svd",
     "compress_matrix",
-    "compress_operators",
     "prediction_error_bound",
 ]

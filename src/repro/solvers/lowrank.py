@@ -1,11 +1,12 @@
-"""Randomized low-rank factorization for the dense feature operator.
+"""Randomized low-rank factorization for a dense feature operator.
 
-The ``O`` and ``R`` tensor slices are sparse by construction (top-k
-similarity truncation happens at build time), but the feature-walk
-matrix ``W`` is dense: its ``W @ X`` product is the ``O(n^2 q)`` term of
-every iteration.  When ``W``'s spectrum decays — which cosine-similarity
-kernels over low-dimensional feature spaces guarantee, since
-``rank(W) ≤ rank(F F^T) ≤ d`` — a rank-``r`` factorization
+The ``O`` and ``R`` tensor slices are sparse by construction, and cosine
+``W`` on non-negative features is applied in its exact factored form
+(:class:`~repro.core.features.FactoredCosineWalk`).  The dense ``W``
+that remains — signed features, rbf, jaccard — makes ``W @ X`` the
+``O(n^2 q)`` term of every iteration.  When ``W``'s spectrum decays —
+which similarity kernels over low-dimensional feature spaces tend to
+give — a rank-``r`` factorization
 ``W ≈ U V^T`` cuts that to ``O(n r q)`` with a *certified* error:
 
 * :func:`compress_matrix` returns the factorization together with a
@@ -26,7 +27,6 @@ projected matrix.  Pure numpy, deterministic under ``seed``.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -150,18 +150,6 @@ def compress_matrix(
     )
     low = LowRankMatrix(u * s, vt)
     return low, _residual_norm(np.asarray(matrix, dtype=float), low, seed)
-
-
-def compress_operators(operators, rank: int, *, seed: int = 0):
-    """Swap a :class:`TMarkOperators` bundle's ``W`` for a low-rank one.
-
-    The ``O``/``R`` tensor slices stay untouched (they are already
-    sparse); only the dense feature-walk matrix is factored.  Returns
-    ``(operators_with_low_rank_w, residual_norm)``; feed the bundle to
-    ``TMark.fit(..., operators=...)`` for the factorized path.
-    """
-    low, residual = compress_matrix(operators.w_matrix, rank, seed=seed)
-    return dataclasses.replace(operators, w_matrix=low), residual
 
 
 def prediction_error_bound(

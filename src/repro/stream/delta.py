@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.errors import ShapeError, ValidationError
 from repro.hin.graph import HIN
@@ -288,6 +287,21 @@ class ResolvedBatch:
         """Whether the batch changes feature rows (W must be patched)."""
         return bool(self.feature_ops) or bool(self.new_nodes)
 
+    def feature_rows(self) -> dict[int, np.ndarray]:
+        """Node index -> new feature vector for every appended or edited node.
+
+        Appended nodes first, then replacements in delta order, so a later
+        edit of the same node wins — the order :func:`materialize_batch`
+        applies them in.
+        """
+        rows = {
+            self.n_old + offset: feats
+            for offset, (_, feats, _) in enumerate(self.new_nodes)
+        }
+        for idx, feats in self.feature_ops:
+            rows[idx] = feats
+        return rows
+
     @property
     def touches_labels(self) -> bool:
         """Whether the batch changes any node's label assignment."""
@@ -448,7 +462,6 @@ def materialize_batch(hin: HIN, resolved: ResolvedBatch) -> HIN:
     """Build the post-batch HIN from a :class:`ResolvedBatch`."""
     n_old, n_new = resolved.n_old, resolved.n_new
     m = hin.n_relations
-    d = hin.n_features
 
     i0, j0, k0 = hin.tensor.coords
     values0 = hin.tensor.values
@@ -475,22 +488,7 @@ def materialize_batch(hin: HIN, resolved: ResolvedBatch) -> HIN:
         shape=(n_new, n_new, m),
     )
 
-    if sp.issparse(hin.features):
-        features = sp.lil_matrix((n_new, d), dtype=float)
-        features[:n_old] = hin.features
-        for offset, (_, feats, _) in enumerate(resolved.new_nodes):
-            features[n_old + offset] = feats
-        for idx, feats in resolved.feature_ops:
-            features[idx] = feats
-        features = features.tocsr()
-    elif resolved.touches_features:
-        base = np.asarray(hin.features, dtype=float)
-        new_rows = [feats[None, :] for _, feats, _ in resolved.new_nodes]
-        features = np.vstack([base] + new_rows) if new_rows else base.copy()
-        for idx, feats in resolved.feature_ops:
-            features[idx] = feats
-    else:
-        features = hin.features
+    features = hin.features_with_rows(resolved.feature_rows(), n_new)
 
     label_matrix = np.zeros((n_new, hin.n_labels), dtype=bool)
     label_matrix[:n_old] = hin.label_matrix
@@ -512,4 +510,7 @@ def materialize_batch(hin: HIN, resolved: ResolvedBatch) -> HIN:
         node_names=node_names,
         multilabel=hin.multilabel,
         metadata=hin.metadata,
+        # The seed rows come from a validated HIN and every delta row
+        # passed _as_feature_tuple's finiteness check.
+        _features_checked=True,
     )

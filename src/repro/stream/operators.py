@@ -12,18 +12,19 @@ post-batch state by renormalising only what the batch touched:
 * ``R`` — the ``(i, j)`` fibres hit by a link edit are renormalised the
   same way (direct division, matching the full build); only relations
   participating in a touched fibre get fresh slices;
-* ``W`` — link and label edits never touch it; feature edits update the
-  maintained cosine-similarity rows/columns (dense cosine with
-  ``top_k=None``, the paper's configuration) or fall back to a full
-  :func:`~repro.core.features.feature_transition_matrix` recompute for
-  the other metrics / ``top_k`` / sparse-feature configurations.
+* ``W`` — link and label edits never touch it; feature edits replace
+  the changed rows of the factored cosine walk's ``N`` and recompute its
+  masses in ``O(nnz)`` (cosine with ``top_k=None`` on non-negative
+  features, the paper's configuration, dense or sparse), or fall back
+  to a full :func:`~repro.core.features.feature_transition_matrix`
+  recompute for the other metrics / ``top_k`` / signed features.
 
 **Exactness contract** (pinned by ``tests/stream/test_operators.py``):
 after ``apply(batch)`` the operators equal ``build_operators`` on
-``apply_batch(hin, batch)`` — bitwise for link-only batches (including
+``apply_batch(hin, batch)`` bitwise — for link-only batches (including
 columns gaining their first out-link or losing their last, in both
-directions), and to tight ``allclose`` tolerance when feature edits
-route through the incremental similarity update.  This holds because
+directions) and for feature edits, whose row updates leave the factors
+of ``W`` exactly as a cold build makes them.  This holds because
 raw weights are accumulated in delta order (matching the COO coalescing
 order of a rebuild) and the touched-column/fibre sums replicate
 ``np.bincount``'s left-to-right accumulation.
@@ -42,11 +43,8 @@ import time
 import numpy as np
 import scipy.sparse as sp
 
-from repro.core.features import (
-    feature_transition_matrix,
-    normalise_similarity_columns,
-)
-from repro.core.tmark import TMarkOperators
+from repro.core.features import FactoredCosineWalk, unit_feature_rows
+from repro.core.tmark import TMarkOperators, build_feature_walk
 from repro.errors import ValidationError
 from repro.hin.graph import HIN
 from repro.obs.recorder import get_recorder
@@ -78,9 +76,9 @@ class IncrementalOperators:
         The seed graph; its operators are built cold on construction.
     similarity_top_k, similarity_metric:
         As in :func:`repro.core.tmark.build_operators`.  The incremental
-        ``W`` path covers dense-feature cosine with ``top_k=None`` (the
-        paper's configuration); other settings stay correct via a full
-        ``W`` recompute on feature-touching batches.
+        ``W`` path covers cosine with ``top_k=None`` on non-negative
+        features (the paper's configuration); other settings stay
+        correct via a full ``W`` recompute on feature-touching batches.
     """
 
     def __init__(
@@ -98,7 +96,7 @@ class IncrementalOperators:
         self._n = hin.n_nodes
         self._m = hin.n_relations
         self._build_link_stores()
-        self._build_w()
+        self._w = self._build_w(hin.features)
         # Seed the facades from the reference build so the starting
         # state is the full-build state by construction.
         self._o, self._r = build_transition_tensors(hin.tensor)
@@ -149,7 +147,7 @@ class IncrementalOperators:
             self._refresh_o(o_clear, o_set, grown)
         if touched_r or pairs_added or pairs_removed or grown:
             self._refresh_r(r_clear, r_set, pairs_added, pairs_removed, grown)
-        self._patch_w(resolved, new_hin)
+        full_w_recompute = self._patch_w(resolved, new_hin)
         self._hin = new_hin
 
         if rec.enabled:
@@ -162,9 +160,7 @@ class IncrementalOperators:
                 touched_fibres=n_fibres,
                 touched_o_slices=len(touched_o),
                 touched_r_slices=len(touched_r),
-                full_w_recompute=bool(
-                    resolved.touches_features and self._sims is None
-                ),
+                full_w_recompute=full_w_recompute,
                 seconds=time.perf_counter() - started,
             )
             rec.count("operator_patches")
@@ -211,17 +207,16 @@ class IncrementalOperators:
 
         # R: fibre (i, j) entries appear at ascending k in the k-major
         # coord order; a stable sort by fibre id preserves that.
-        fibre_sums = tensor.mode3_fibre_sums()
-        fibres = j * n + i
-        r_norm = values / fibre_sums[fibres]
+        unique_fibres, fibre_sums, fibre_of = tensor.mode3_fibre_groups()
+        r_norm = values / fibre_sums[fibre_of]
         self._r_fibres: dict[
             tuple[int, int], tuple[np.ndarray, np.ndarray, np.ndarray]
         ] = {}
-        if fibres.size:
-            order = np.argsort(fibres, kind="stable")
-            sorted_fibres = fibres[order]
-            unique_fibres, starts = np.unique(sorted_fibres, return_index=True)
-            bounds = np.append(starts, sorted_fibres.size)
+        if fibre_of.size:
+            order = np.argsort(fibre_of, kind="stable")
+            bounds = np.searchsorted(
+                fibre_of[order], np.arange(unique_fibres.size + 1)
+            )
             for pos, fibre in enumerate(unique_fibres.tolist()):
                 sel = order[bounds[pos] : bounds[pos + 1]]
                 node_j, node_i = divmod(fibre, n)
@@ -231,41 +226,8 @@ class IncrementalOperators:
                     r_norm[sel].copy(),
                 )
 
-    def _build_w(self) -> None:
-        features = self._hin.features
-        incremental = (
-            self._metric == "cosine"
-            and self._top_k is None
-            and not sp.issparse(features)
-        )
-        if incremental:
-            feats = np.asarray(features, dtype=float)
-            norms = np.linalg.norm(feats, axis=1)
-            safe = np.where(norms > 0, norms, 1.0)
-            unit = feats / safe[:, None]
-            unit[norms == 0] = 0.0
-            # einsum, matching cosine_similarity_matrix's fixed
-            # per-element summation order — a BLAS GEMM here would break
-            # the bitwise contract against cold rebuilds.
-            sims = np.einsum("nd,cd->nc", unit, unit)
-            np.clip(sims, 0.0, None, out=sims)
-            # The buffers are capacity-managed: rows past the logical
-            # count ``_w_n`` are always zero, growth reallocates with
-            # headroom, and every read slices ``[:n]`` — so a delta
-            # batch never pays an O(n * d) copy just to add a node.
-            self._norms = norms
-            self._unit = unit
-            self._sims = sims
-            self._w_n = feats.shape[0]
-            self._w = normalise_similarity_columns(sims.copy())
-        else:
-            self._norms = None
-            self._unit = None
-            self._sims = None
-            self._w_n = 0
-            self._w = feature_transition_matrix(
-                features, top_k=self._top_k, metric=self._metric
-            )
+    def _build_w(self, features):
+        return build_feature_walk(features, top_k=self._top_k, metric=self._metric)
 
     # ------------------------------------------------------------------
     # Link patching
@@ -470,53 +432,20 @@ class IncrementalOperators:
     # ------------------------------------------------------------------
     # W patching
     # ------------------------------------------------------------------
-    def _patch_w(self, resolved: ResolvedBatch, new_hin: HIN) -> None:
+    def _patch_w(self, resolved: ResolvedBatch, new_hin: HIN) -> bool:
+        """Bring ``W`` up to date; returns whether it was rebuilt whole."""
         if not resolved.touches_features:
-            return
-        if self._sims is None:
-            self._w = feature_transition_matrix(
-                new_hin.features, top_k=self._top_k, metric=self._metric
-            )
-            return
-        n_old = self._w_n
-        n = self._n
-        if n > self._unit.shape[0]:
-            # Out of capacity: reallocate with headroom so a long run of
-            # growth batches amortises to O(1) copies per node.
-            cap = max(n, self._unit.shape[0] + max(64, self._unit.shape[0] // 8))
-            unit = np.zeros((cap, self._unit.shape[1]))
-            unit[:n_old] = self._unit[:n_old]
-            self._unit = unit
-            norms = np.zeros(cap)
-            norms[:n_old] = self._norms[:n_old]
-            self._norms = norms
-            sims = np.zeros((cap, cap))
-            sims[:n_old, :n_old] = self._sims[:n_old, :n_old]
-            self._sims = sims
-        changed = [n_old + offset for offset in range(len(resolved.new_nodes))]
-        changed += [idx for idx, _ in resolved.feature_ops]
-        new_features = np.asarray(new_hin.features, dtype=float)
-        unit = self._unit[:n]
-        for idx in changed:
-            row = new_features[idx]
-            norm = np.linalg.norm(row)
-            self._norms[idx] = norm
-            unit[idx] = row / norm if norm > 0 else 0.0
-        # One matvec per changed node refreshes its similarity row/column;
-        # zero-norm rows come out zero automatically (their unit row is 0).
-        # einsum's matvec reduces in the same per-element order as the
-        # full panel above, so refreshed rows carry identical bits.
-        for idx in changed:
-            sims_row = np.einsum("nd,d->n", unit, unit[idx])
-            np.clip(sims_row, 0.0, None, out=sims_row)
-            self._sims[idx, :n] = sims_row
-            self._sims[:n, idx] = sims_row
-        self._w_n = n
-        # Same floats as normalise_similarity_columns, without copying
-        # the n x n similarity buffer on the common (no zero column) path.
-        sims_view = self._sims[:n, :n]
-        col_sums = sims_view.sum(axis=0)
-        if np.any(col_sums == 0):
-            self._w = normalise_similarity_columns(sims_view.copy())
-        else:
-            self._w = sims_view / col_sums[None, :]
+            return False
+        if isinstance(self._w, FactoredCosineWalk):
+            # Only the edited rows are read: the new HIN's dense feature
+            # matrix is never materialised on this path.
+            edited = resolved.feature_rows()
+            rows = sorted(edited)
+            unit_rows = unit_feature_rows(np.array([edited[idx] for idx in rows]))
+            if unit_rows.nnz == 0 or unit_rows.data.min() >= 0:
+                self._w = self._w.with_rows(rows, unit_rows, self._n)
+                return False
+        # Signed rows, another metric or top-k: rebuild, which also
+        # switches back to the factored walk once the features allow it.
+        self._w = self._build_w(new_hin.features)
+        return True

@@ -267,11 +267,28 @@ class SparseTensor3:
 
         Index ``j*n + i`` (mode-3 column order).  Zero entries mark the
         node pairs with no relation, replaced by uniform 1/m in Eq. 2.
+        Allocates ``n^2`` floats: small tensors only — operator builds
+        use :meth:`mode3_fibre_groups`.
         """
-        cols = self._j * self._n + self._i
-        return np.bincount(
-            cols, weights=self._values, minlength=self._n * self._n
-        ).astype(float)
+        fibres, sums, _ = self.mode3_fibre_groups()
+        dense = np.zeros(self._n * self._n)
+        dense[fibres] = sums
+        return dense
+
+    def mode3_fibre_groups(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The linked ``(i, j)`` fibres and their sums over ``k``, in ``O(nnz)``.
+
+        Returns ``(fibres, sums, inverse)``: the sorted unique flat ids
+        ``j*n + i`` of the fibres holding an entry, each fibre's sum, and
+        for every stored entry the position of its fibre in ``fibres``.
+        Each sum adds the fibre's entries in stored order, exactly as a
+        bincount over all ``n^2`` pairs would, without that array.
+        """
+        fibres, inverse = np.unique(
+            self._j * self._n + self._i, return_inverse=True
+        )
+        sums = np.bincount(inverse, weights=self._values, minlength=fibres.size)
+        return fibres, sums.astype(float), inverse
 
     def relation_degrees(self) -> np.ndarray:
         """Total link weight per relation (length ``m``)."""

@@ -4,6 +4,7 @@ from repro.utils.rng import ensure_rng, spawn_rngs
 from repro.utils.simplex import (
     is_distribution,
     normalize_distribution,
+    project_columns_to_simplex,
     project_to_simplex,
     uniform_distribution,
 )
@@ -20,6 +21,7 @@ __all__ = [
     "spawn_rngs",
     "is_distribution",
     "normalize_distribution",
+    "project_columns_to_simplex",
     "project_to_simplex",
     "uniform_distribution",
     "check_array_1d",

@@ -78,3 +78,44 @@ def project_to_simplex(vector: np.ndarray) -> np.ndarray:
         )
     clipped = np.clip(arr, 0.0, None)
     return normalize_distribution(clipped)
+
+
+def project_columns_to_simplex(matrix: np.ndarray) -> np.ndarray:
+    """:func:`project_to_simplex` applied to every column of ``matrix``.
+
+    Bit-identical to the per-column loop: each column is clipped, summed
+    as a 1-D vector (numpy's pairwise sum, whatever the column stride)
+    and divided by its total, and all-zero columns become uniform.
+    Returns a new C-ordered ``(n, k)`` array.
+    """
+    arr = np.asarray(matrix, dtype=float)
+    if arr.ndim != 2 or arr.size == 0:
+        raise ShapeError(f"expected a non-empty 2-D matrix, got shape {arr.shape}")
+    if np.any(arr < -1e-6):
+        raise ValidationError(
+            "matrix is far outside the simplex (negative entries below -1e-6); "
+            "this indicates a bug upstream, not numerical drift"
+        )
+    clipped = np.clip(arr, 0.0, None)
+    totals = np.array([clipped[:, c].sum() for c in range(clipped.shape[1])])
+    empty = totals == 0.0
+    totals[empty] = 1.0
+    clipped /= totals
+    clipped[:, empty] = 1.0 / arr.shape[0]
+    return clipped
+
+
+def simplex_deviation(matrix: np.ndarray) -> tuple[float, float, int]:
+    """How far the columns of ``matrix`` stray from the simplex.
+
+    Returns ``(mass drift, min entry, negative count)``: the largest
+    ``|column sum - 1|``, the smallest entry and the number of negative
+    entries.  A diagnostic for the ``invariant_probe`` events — the
+    column masses come from one BLAS product, which is much cheaper on
+    a tall, narrow matrix than numpy's axis-0 reduction.
+    """
+    arr = np.asarray(matrix, dtype=float)
+    mass = np.ones(arr.shape[0]) @ arr
+    smallest = float(arr.min())
+    negative = int((arr < 0.0).sum()) if smallest < 0.0 else 0
+    return float(np.abs(mass - 1.0).max()), smallest, negative

@@ -155,3 +155,68 @@ class TestDerivedHins:
     def test_metadata_propagates(self):
         hin = make_hin()
         assert hin.masked(np.ones(3, bool)).metadata["origin"] == "test"
+
+
+def with_features(hin, features):
+    """``hin`` grown to ``features.shape[0]`` nodes carrying ``features``."""
+    n = features.shape[0]
+    labels = np.zeros((n, hin.n_labels), dtype=bool)
+    labels[: hin.n_nodes] = hin.label_matrix
+    return HIN(
+        SparseTensor3([], [], [], shape=(n, n, hin.n_relations)),
+        hin.relation_names,
+        features,
+        labels,
+        hin.label_names,
+    )
+
+
+class TestFeaturesWithRows:
+    def test_dense_edits_match_an_eager_copy(self):
+        hin = make_hin()
+        rows = {1: np.array([0.5, 0.0, 2.0]), 3: np.array([1.0, 1.0, 0.0])}
+        grown = with_features(hin, hin.features_with_rows(rows, 5))
+        expected = np.zeros((5, 3))
+        expected[:3] = np.eye(3)
+        expected[1] = rows[1]
+        expected[3] = rows[3]
+        assert grown.n_features == 3
+        assert np.array_equal(grown.features, expected)
+        assert np.array_equal(hin.features, np.eye(3))  # source untouched
+
+    def test_chained_edits_fold_and_later_edits_win(self):
+        hin = make_hin()
+        first = with_features(hin, hin.features_with_rows({0: np.ones(3)}, 3))
+        second = first.features_with_rows({0: np.full(3, 2.0), 2: np.ones(3)}, 3)
+        expected = np.eye(3)
+        expected[0] = 2.0
+        expected[2] = 1.0
+        assert np.array_equal(with_features(hin, second).features, expected)
+        expected_first = np.eye(3)
+        expected_first[0] = 1.0
+        assert np.array_equal(first.features, expected_first)
+
+    def test_derived_views_share_the_edited_matrix(self):
+        hin = make_hin()
+        grown = with_features(hin, hin.features_with_rows({2: np.ones(3)}, 3))
+        view = grown.masked(np.ones(3, dtype=bool))
+        assert view.features is grown.features
+
+    def test_sparse_features_stay_csr(self):
+        hin = HIN(
+            make_hin().tensor,
+            ["r0", "r1"],
+            sp.csr_matrix(np.eye(3)),
+            make_hin().label_matrix,
+            ["a", "b"],
+        )
+        edited = hin.features_with_rows({0: np.array([0.0, 3.0, 0.0])}, 4)
+        assert sp.issparse(edited)
+        expected = np.zeros((4, 3))
+        expected[:3] = np.eye(3)
+        expected[0] = [0.0, 3.0, 0.0]
+        assert np.array_equal(edited.toarray(), expected)
+
+    def test_no_edits_share_the_matrix(self):
+        hin = make_hin()
+        assert hin.features_with_rows({}, 3) is hin.features

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.features import feature_transition_matrix
+from repro.core.features import FactoredCosineWalk, feature_transition_matrix
 from repro.core.tmark import build_operators
 from repro.errors import ValidationError
 from repro.obs.recorder import ListRecorder, use_recorder
@@ -88,13 +88,36 @@ class TestBitIdentity:
         )
 
     def test_dense_w_bit_identical(self, tmp_path, worked_example, rng):
+        # Non-cosine metrics keep the dense W; cosine is factored (below).
         store = GraphStore.save(worked_example, tmp_path / "store")
-        ops = build_chunked_operators(store, chunk_size=2)
-        expected = feature_transition_matrix(worked_example.features)
+        ops = build_chunked_operators(
+            store, chunk_size=2, similarity_metric="rbf"
+        )
+        assert ops.w_matrix.mode == "dense"
+        expected = feature_transition_matrix(
+            worked_example.features, metric="rbf"
+        )
         ondisk = np.load(store.operators_dir / "w.npy")
         assert np.array_equal(ondisk, expected)
         X = rng.random((store.n_nodes, 2))
         assert np.allclose(ops.w_matrix @ X, expected @ X)
+
+    def test_factored_w_bit_identical(self, tmp_path, worked_example, rng):
+        store = GraphStore.save(worked_example, tmp_path / "store")
+        ops = build_chunked_operators(store, chunk_size=2)
+        inram = FactoredCosineWalk.from_features(worked_example.features)
+        assert isinstance(ops.w_matrix, FactoredCosineWalk)
+        assert not (store.operators_dir / "w.npy").exists()
+        for got, ref in (
+            (ops.w_matrix.unit.data, inram.unit.data),
+            (ops.w_matrix.unit.indices, inram.unit.indices),
+            (ops.w_matrix.unit.indptr, inram.unit.indptr),
+            (ops.w_matrix.inv_mass, inram.inv_mass),
+        ):
+            assert np.array_equal(got, ref)
+        X = rng.random((store.n_nodes, 2))
+        expected = feature_transition_matrix(worked_example.features)
+        assert np.allclose(ops.w_matrix @ X, expected @ X, rtol=0, atol=1e-12)
 
     def test_topk_w_matches_inram_topk(self, tmp_path, worked_example, rng):
         store = GraphStore.save(worked_example, tmp_path / "store")
@@ -196,7 +219,21 @@ class TestWPolicy:
             seed=3,
         )
         with pytest.raises(ValidationError, match="similarity_top_k"):
-            build_chunked_operators(store)
+            build_chunked_operators(store, similarity_metric="rbf")
+
+    def test_factored_w_has_no_size_limit(self, tmp_path):
+        store = generate_ooc_store(
+            tmp_path / "big",
+            n_nodes=MAX_DENSE_W_NODES + 1,
+            n_links=64,
+            n_relations=1,
+            n_labels=2,
+            n_features=4,
+            seed=3,
+        )
+        ops = build_chunked_operators(store)
+        assert isinstance(ops.w_matrix, FactoredCosineWalk)
+        assert ops.w_matrix.shape == (store.n_nodes, store.n_nodes)
 
     def test_topk_requires_cosine(self, tmp_path):
         store = GraphStore.save(sample_hin(), tmp_path / "store")

@@ -82,6 +82,20 @@ class TestBitIdentity:
         assert_same_scores(serial, sharded)
         assert np.array_equal(serial.predict(), sharded.predict())
 
+    @pytest.mark.parametrize("shards", [1, 2, 4])
+    @pytest.mark.parametrize("gamma", [0.4, 1.0])
+    def test_factored_walk_identical(self, hin, shards, gamma):
+        # Non-negative features: W is the factored cosine walk, run on
+        # the coordinator with the serial statement.
+        from repro.core.features import FactoredCosineWalk
+
+        counts = nonnegative(hin)
+        model = TMark(alpha=0.8, gamma=gamma, max_iter=80)
+        assert isinstance(model_operators(counts, model)[2], FactoredCosineWalk)
+        serial = fitted(counts, gamma=gamma)
+        sharded = fitted(counts, gamma=gamma, shards=shards, workers=2)
+        assert_same_scores(serial, sharded)
+
     def test_direct_engine_single_shard(self, hin):
         # The engine itself (not the fit() shortcut) at K=1 is also exact.
         model = TMark(alpha=0.8, gamma=0.4, max_iter=80)
@@ -215,13 +229,25 @@ class TestFailurePropagation:
 
 def model_operators(hin, model):
     """The ``(O, R, W)`` triple exactly as ``TMark.fit`` builds it."""
-    from repro.core.features import feature_transition_matrix
-    from repro.tensor.transition import build_transition_tensors
+    from repro.core import build_operators
 
-    o_tensor, r_tensor = build_transition_tensors(hin.tensor)
-    w_matrix = feature_transition_matrix(
-        hin.features,
-        top_k=model.similarity_top_k,
-        metric=model.similarity_metric,
+    operators = build_operators(
+        hin,
+        similarity_top_k=model.similarity_top_k,
+        similarity_metric=model.similarity_metric,
     )
-    return o_tensor, r_tensor, w_matrix
+    return operators.o_tensor, operators.r_tensor, operators.w_matrix
+
+
+def nonnegative(hin):
+    """``hin`` with absolute-valued features."""
+    from repro.hin.graph import HIN
+
+    return HIN(
+        hin.tensor,
+        hin.relation_names,
+        np.abs(hin.features),
+        hin.label_matrix,
+        hin.label_names,
+        node_names=hin.node_names,
+    )

@@ -93,6 +93,18 @@ class TestRowsPolicy:
         for shard in plan.shards:
             assert shard.halo_size == n - shard.size
 
+    def test_factored_w_adds_no_halo(self, operators):
+        # The factored cosine walk runs on the coordinator.
+        from repro.core.features import FactoredCosineWalk
+
+        o_tensor, r_tensor, _, _ = operators
+        walk = FactoredCosineWalk.from_features(np.eye(o_tensor.shape[0]))
+        with_walk = plan_shards(o_tensor, r_tensor, walk, 3)
+        without = plan_shards(o_tensor, r_tensor, None, 3)
+        for got, ref in zip(with_walk.shards, without.shards):
+            assert (got.start, got.stop, got.nnz) == (ref.start, ref.stop, ref.nnz)
+            assert np.array_equal(got.halo, ref.halo)
+
     def test_no_w_shrinks_halo(self, operators):
         o_tensor, r_tensor, w_dense, _ = operators
         with_w = plan_shards(o_tensor, r_tensor, w_dense, 2)

@@ -1,5 +1,6 @@
 """Tests for the randomized low-rank W factorization and its error bound."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -11,7 +12,6 @@ from repro.errors import ValidationError
 from repro.solvers import (
     LowRankMatrix,
     compress_matrix,
-    compress_operators,
     prediction_error_bound,
     randomized_svd,
 )
@@ -96,7 +96,8 @@ class TestCompression:
         plain = TMark(alpha=0.7, gamma=0.4, max_iter=500).fit(
             hin, operators=operators
         )
-        compressed, residual = compress_operators(operators, rank=10, seed=0)
+        low_w, residual = compress_matrix(operators.w_matrix, 10, seed=0)
+        compressed = dataclasses.replace(operators, w_matrix=low_w)
         low = TMark(alpha=0.7, gamma=0.4, max_iter=500).fit(
             hin, operators=compressed
         )

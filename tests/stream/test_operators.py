@@ -2,16 +2,17 @@
 
 The exactness contract of ``repro.stream.operators``: after
 ``ops.apply(batch)`` the cached triple equals ``build_operators`` on
-``apply_batch(hin, batch)`` — bitwise for link-only batches (including
-dangling gain/loss in both directions), and to tight ``allclose``
-tolerance when the incremental cosine-similarity path handles feature
-edits.
+``apply_batch(hin, batch)`` bitwise — for link-only batches (including
+dangling gain/loss in both directions) and for feature edits, whose row
+updates of the factored cosine walk leave its factors exactly as a cold
+build makes them.
 """
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from repro.core.features import FactoredCosineWalk
 from repro.core.tmark import TMark, build_operators
 from repro.errors import ValidationError
 from repro.stream.delta import GraphDelta, apply_batch
@@ -21,28 +22,33 @@ from tests.conftest import small_labeled_hin
 from tests.stream.test_delta import small_hin
 
 
-def assert_matches_rebuild(ops, expected_hin, *, w_exact, **build_kwargs):
+def w_parts(w):
+    """``W`` as the arrays that define it: the factors when factored."""
+    if isinstance(w, FactoredCosineWalk):
+        unit = w.unit
+        return (unit.data, unit.indices, unit.indptr, w.inv_mass, w.zero)
+    return (w.toarray() if sp.issparse(w) else w,)
+
+
+def assert_matches_rebuild(ops, expected_hin, **build_kwargs):
     """The incremental triple against a cold ``build_operators`` rebuild."""
     ref = build_operators(expected_hin, **build_kwargs)
     got = ops.operators
     assert got.shape == ref.shape
     assert np.array_equal(got.o_tensor.to_dense(), ref.o_tensor.to_dense())
     assert np.array_equal(got.r_tensor.to_dense(), ref.r_tensor.to_dense())
-    got_w = got.w_matrix.toarray() if sp.issparse(got.w_matrix) else got.w_matrix
-    ref_w = ref.w_matrix.toarray() if sp.issparse(ref.w_matrix) else ref.w_matrix
-    if w_exact:
-        assert np.array_equal(got_w, ref_w)
-    else:
-        np.testing.assert_allclose(got_w, ref_w, rtol=1e-12, atol=1e-15)
+    assert type(got.w_matrix) is type(ref.w_matrix)
+    for got_part, ref_part in zip(w_parts(got.w_matrix), w_parts(ref.w_matrix)):
+        assert np.array_equal(got_part, ref_part)
 
 
-def apply_and_check(hin, deltas, *, w_exact=True, **build_kwargs):
+def apply_and_check(hin, deltas, **build_kwargs):
     ops = IncrementalOperators(hin, **build_kwargs)
     new_hin = ops.apply(deltas)
     expected = apply_batch(hin, deltas)
     assert new_hin.node_names == expected.node_names
     assert new_hin.tensor == expected.tensor
-    assert_matches_rebuild(ops, expected, w_exact=w_exact, **build_kwargs)
+    assert_matches_rebuild(ops, expected, **build_kwargs)
     return ops, expected
 
 
@@ -50,7 +56,7 @@ class TestLinkPatches:
     def test_initial_state_matches_full_build(self):
         hin = small_hin()
         ops = IncrementalOperators(hin)
-        assert_matches_rebuild(ops, hin, w_exact=True)
+        assert_matches_rebuild(ops, hin)
 
     def test_pure_addition_bitwise(self):
         apply_and_check(
@@ -107,9 +113,9 @@ class TestLinkPatches:
         hin = small_hin()
         ops = IncrementalOperators(hin)
         mid = ops.apply([GraphDelta.add_link("u", "w", "r3")])
-        assert_matches_rebuild(ops, mid, w_exact=True)
+        assert_matches_rebuild(ops, mid)
         final = ops.apply([GraphDelta.remove_link("u", "w", "r3")])
-        assert_matches_rebuild(ops, final, w_exact=True)
+        assert_matches_rebuild(ops, final)
         assert final.tensor == hin.tensor
 
     def test_fibre_gains_and_loses_relation(self):
@@ -145,7 +151,6 @@ class TestNodeGrowth:
                 GraphDelta.add_link("x", "u", "r1"),
                 GraphDelta.add_link("w", "x", "r2", directed=True),
             ],
-            w_exact=False,
         )
 
     def test_isolated_node_growth(self):
@@ -154,7 +159,6 @@ class TestNodeGrowth:
         apply_and_check(
             small_hin(),
             [GraphDelta.add_node("x", features=[0.5, 0.5])],
-            w_exact=False,
         )
 
     def test_link_isolated_node_in_later_batch(self):
@@ -163,9 +167,9 @@ class TestNodeGrowth:
         hin = small_hin()
         ops = IncrementalOperators(hin)
         mid = ops.apply([GraphDelta.add_node("x", features=[0.5, 0.5])])
-        assert_matches_rebuild(ops, mid, w_exact=False)
+        assert_matches_rebuild(ops, mid)
         final = ops.apply([GraphDelta.add_link("x", "v", "r2", directed=True)])
-        assert_matches_rebuild(ops, final, w_exact=False)
+        assert_matches_rebuild(ops, final)
 
 
 class TestFeaturePatches:
@@ -173,7 +177,6 @@ class TestFeaturePatches:
         apply_and_check(
             small_hin(),
             [GraphDelta.update_features("u", [3.0, 1.0])],
-            w_exact=False,
         )
 
     def test_feature_update_to_zero_vector(self):
@@ -181,7 +184,6 @@ class TestFeaturePatches:
         apply_and_check(
             small_hin(),
             [GraphDelta.update_features("v", [0.0, 0.0])],
-            w_exact=False,
         )
 
     def test_link_only_batch_keeps_w_object(self):
@@ -192,20 +194,17 @@ class TestFeaturePatches:
         assert ops.operators.w_matrix is w_before
 
     def test_sparse_features_full_recompute_bitwise(self):
-        # Sparse features route W through the full recompute, which is
-        # the exact same code path as the rebuild: bitwise even for
-        # feature-touching batches.
+        # Sparse features take the same row update of the factored walk
+        # as dense ones: bitwise against the rebuild.
         apply_and_check(
             small_hin(sparse_features=True),
             [GraphDelta.update_features("u", [3.0, 1.0])],
-            w_exact=True,
         )
 
     def test_rbf_metric_full_recompute_bitwise(self):
         apply_and_check(
             small_hin(),
             [GraphDelta.update_features("u", [3.0, 1.0])],
-            w_exact=True,
             similarity_metric="rbf",
         )
 
@@ -213,12 +212,56 @@ class TestFeaturePatches:
         apply_and_check(
             small_hin(),
             [GraphDelta.update_features("u", [3.0, 1.0])],
-            w_exact=True,
             similarity_top_k=2,
         )
 
 
+    def test_signed_update_switches_to_dense_and_back(self):
+        hin = small_hin()
+        ops = IncrementalOperators(hin)
+        assert isinstance(ops.operators.w_matrix, FactoredCosineWalk)
+        signed = ops.apply([GraphDelta.update_features("u", [-1.0, 2.0])])
+        assert isinstance(ops.operators.w_matrix, np.ndarray)
+        assert_matches_rebuild(ops, signed)
+        back = ops.apply([GraphDelta.update_features("u", [1.0, 2.0])])
+        assert isinstance(ops.operators.w_matrix, FactoredCosineWalk)
+        assert_matches_rebuild(ops, back)
+
+
+def nonnegative(hin, *, sparse=False):
+    """``hin`` with absolute-valued (optionally CSR) features."""
+    from repro.hin.graph import HIN
+
+    features = np.abs(hin.features)
+    return HIN(
+        hin.tensor,
+        hin.relation_names,
+        sp.csr_matrix(features) if sparse else features,
+        hin.label_matrix,
+        hin.label_names,
+        node_names=hin.node_names,
+    )
+
+
 class TestRandomizedSequences:
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_nonnegative_journal_row_updates_bitwise(self, sparse):
+        from repro.obs import ListRecorder
+
+        hin = nonnegative(small_labeled_hin(seed=5, n=20, q=3, m=3), sparse=sparse)
+        log = synthetic_delta_log(hin, 60, batch_size=10, seed=5)
+        ops = IncrementalOperators(hin)
+        recorder = ListRecorder()
+        current = hin
+        for batch in log.batches():
+            current = apply_batch(current, batch)
+            ops.apply(batch, recorder=recorder)
+            assert isinstance(ops.operators.w_matrix, FactoredCosineWalk)
+            assert_matches_rebuild(ops, current)
+        events = recorder.events_of("operator_patch")
+        assert events and not any(e["full_w_recompute"] for e in events)
+
+
     @pytest.mark.parametrize("seed", [1, 17, 99])
     def test_synthetic_journal_batchwise_equivalence(self, seed):
         hin = small_labeled_hin(seed=seed, n=20, q=3, m=3)
@@ -229,8 +272,8 @@ class TestRandomizedSequences:
             current = apply_batch(current, batch)
             got = ops.apply(batch)
             assert got.tensor == current.tensor
-            # Feature/node deltas appear in the mix, so W is allclose.
-            assert_matches_rebuild(ops, current, w_exact=False)
+            # Feature/node deltas appear in the mix; W stays bitwise too.
+            assert_matches_rebuild(ops, current)
 
     def test_link_only_journal_stays_bitwise(self):
         hin = small_labeled_hin(seed=4, n=20, q=3, m=3)
@@ -246,7 +289,7 @@ class TestRandomizedSequences:
         for batch in log.batches():
             current = apply_batch(current, batch)
             ops.apply(batch)
-            assert_matches_rebuild(ops, current, w_exact=True)
+            assert_matches_rebuild(ops, current)
 
 
 class TestInterfaces:

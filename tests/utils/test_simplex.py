@@ -9,6 +9,7 @@ from repro.errors import ShapeError, ValidationError
 from repro.utils.simplex import (
     is_distribution,
     normalize_distribution,
+    project_columns_to_simplex,
     project_to_simplex,
     uniform_distribution,
 )
@@ -95,3 +96,31 @@ class TestProjectToSimplex:
         once = project_to_simplex(vector)
         twice = project_to_simplex(once)
         assert np.allclose(once, twice)
+
+
+nonneg_matrices = arrays(
+    dtype=float,
+    shape=st.tuples(st.integers(1, 40), st.integers(1, 6)),
+    elements=st.floats(0.0, 100.0, allow_nan=False, allow_infinity=False),
+)
+
+
+class TestProjectColumnsToSimplex:
+    @given(nonneg_matrices)
+    def test_property_bitwise_equal_to_column_loop(self, matrix):
+        matrix[:, 0] = 0.0  # an all-zero column becomes uniform
+        matrix[0, -1] = -1e-9  # tiny drift is clipped
+        got = project_columns_to_simplex(matrix)
+        expected = np.column_stack(
+            [project_to_simplex(matrix[:, c]) for c in range(matrix.shape[1])]
+        )
+        assert np.array_equal(got, expected)
+        assert got.flags.c_contiguous
+
+    def test_rejects_large_negative(self):
+        with pytest.raises(ValidationError):
+            project_columns_to_simplex(np.array([[1.0], [-0.5]]))
+
+    def test_rejects_non_matrix(self):
+        with pytest.raises(ShapeError):
+            project_columns_to_simplex(np.array([1.0, 2.0]))
