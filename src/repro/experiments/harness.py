@@ -25,6 +25,7 @@ from repro.hin.graph import HIN
 from repro.ml.metrics import accuracy, macro_f1, multilabel_macro_f1
 from repro.ml.splits import multilabel_fraction_split, stratified_fraction_split
 from repro.obs.recorder import get_recorder, use_recorder
+from repro.obs.spans import span
 from repro.utils.rng import spawn_rngs
 from repro.utils.validation import check_positive_int
 
@@ -160,45 +161,50 @@ def run_single_trial(
     process-pool path (:mod:`repro.experiments.parallel`) runs the
     byte-identical code per trial.  ``split_rng`` / ``method_rng`` are
     the two generators ``evaluate_method`` spawns per trial; ``trial``
-    is only carried onto the emitted ``trial`` event.
+    is only carried onto the emitted ``trial`` event and onto the
+    ``trial`` span that wraps the whole trial, so serial and pool traces
+    have the same span tree.
     """
     rec = get_recorder() if recorder is None else recorder
-    trial_started = time.perf_counter() if rec.enabled else 0.0
-    if metric == "multilabel_macro_f1":
-        mask = multilabel_fraction_split(hin.label_matrix, fraction, rng=split_rng)
-    else:
-        mask = stratified_fraction_split(hin.y, fraction, rng=split_rng)
-    train_hin = hin.masked(mask)
-    model = method_factory()
-    with use_recorder(rec):
-        if operator_pool is not None and isinstance(model, TMark):
-            operators = shared_tmark_operators(hin, model, operator_pool)
-            scores = model.fit_predict(
-                train_hin, rng=method_rng, operators=operators
-            )
+    with span(
+        "trial", recorder=rec, method=method_name, fraction=float(fraction), trial=trial
+    ):
+        trial_started = time.perf_counter() if rec.enabled else 0.0
+        if metric == "multilabel_macro_f1":
+            mask = multilabel_fraction_split(hin.label_matrix, fraction, rng=split_rng)
         else:
-            scores = model.fit_predict(train_hin, rng=method_rng)
-    test = ~mask
-    if metric == "multilabel_macro_f1":
-        predicted = scores_to_multilabel(scores, train_hin.label_matrix)
-        value = multilabel_macro_f1(hin.label_matrix[test], predicted[test])
-    elif metric == "macro_f1":
-        predicted = scores_to_predictions(scores)
-        value = macro_f1(hin.y[test], predicted[test], n_classes=hin.n_labels)
-    else:
-        predicted = scores_to_predictions(scores)
-        value = accuracy(hin.y[test], predicted[test])
-    if rec.enabled:
-        rec.emit(
-            "trial",
-            method=method_name,
-            fraction=float(fraction),
-            trial=trial,
-            metric=metric,
-            value=float(value),
-            seconds=time.perf_counter() - trial_started,
-        )
-        rec.count("trials")
+            mask = stratified_fraction_split(hin.y, fraction, rng=split_rng)
+        train_hin = hin.masked(mask)
+        model = method_factory()
+        with use_recorder(rec):
+            if operator_pool is not None and isinstance(model, TMark):
+                operators = shared_tmark_operators(hin, model, operator_pool)
+                scores = model.fit_predict(
+                    train_hin, rng=method_rng, operators=operators
+                )
+            else:
+                scores = model.fit_predict(train_hin, rng=method_rng)
+        test = ~mask
+        if metric == "multilabel_macro_f1":
+            predicted = scores_to_multilabel(scores, train_hin.label_matrix)
+            value = multilabel_macro_f1(hin.label_matrix[test], predicted[test])
+        elif metric == "macro_f1":
+            predicted = scores_to_predictions(scores)
+            value = macro_f1(hin.y[test], predicted[test], n_classes=hin.n_labels)
+        else:
+            predicted = scores_to_predictions(scores)
+            value = accuracy(hin.y[test], predicted[test])
+        if rec.enabled:
+            rec.emit(
+                "trial",
+                method=method_name,
+                fraction=float(fraction),
+                trial=trial,
+                metric=metric,
+                value=float(value),
+                seconds=time.perf_counter() - trial_started,
+            )
+            rec.count("trials")
     return float(value)
 
 

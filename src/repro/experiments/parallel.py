@@ -278,22 +278,19 @@ def _run_trial(spec: TrialSpec) -> _Outcome:
     recorder, events_sink, registry = _worker_recorder(state)
     started = time.perf_counter()
     with activate_span(_parent_span(state)):
-        with span(
-            "trial", recorder=recorder,
-            method=spec.method, fraction=spec.fraction, trial=spec.index,
-        ):
-            value = run_single_trial(
-                state.hin,
-                state.factories[spec.method],
-                spec.fraction,
-                trial=spec.index,
-                split_rng=spec.split_rng,
-                method_rng=spec.method_rng,
-                metric=spec.metric,
-                operator_pool=_operator_pool(state),
-                recorder=recorder,
-                method_name=spec.method,
-            )
+        # run_single_trial opens the "trial" span itself.
+        value = run_single_trial(
+            state.hin,
+            state.factories[spec.method],
+            spec.fraction,
+            trial=spec.index,
+            split_rng=spec.split_rng,
+            method_rng=spec.method_rng,
+            metric=spec.metric,
+            operator_pool=_operator_pool(state),
+            recorder=recorder,
+            method_name=spec.method,
+        )
     return _Outcome(
         index=spec.index,
         payload=value,

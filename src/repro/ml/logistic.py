@@ -14,6 +14,8 @@ off-the-shelf learners).
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import minimize
@@ -43,6 +45,10 @@ class LogisticRegression:
         indices into ``[0, n_classes)`` even if some classes are absent
         from the training data — essential for collective classifiers
         that retrain on subsets.
+
+    After :meth:`fit`, ``converged_`` tells whether L-BFGS-B met its
+    stopping rule and ``n_iter_`` how many iterations it took; a solve
+    that did not converge also raises a ``RuntimeWarning``.
     """
 
     def __init__(self, *, l2: float = 1e-3, max_iter: int = 200, n_classes: int | None = None):
@@ -55,21 +61,13 @@ class LogisticRegression:
         self.n_classes = n_classes
         self.weights_: np.ndarray | None = None
         self.bias_: np.ndarray | None = None
+        self.converged_: bool | None = None
+        self.n_iter_: int | None = None
 
     # ------------------------------------------------------------------
     def fit(self, features, labels) -> "LogisticRegression":
         """Fit on ``(N, d)`` features and length-``N`` integer labels."""
-        features = _as_matrix(features)
-        labels = np.asarray(labels, dtype=np.int64)
-        if labels.ndim != 1 or labels.size != features.shape[0]:
-            raise ValidationError(
-                "labels must be a 1-D integer array aligned with features rows"
-            )
-        if labels.size == 0:
-            raise ValidationError("cannot fit on an empty training set")
-        q = self.n_classes if self.n_classes is not None else int(labels.max()) + 1
-        if labels.min() < 0 or labels.max() >= q:
-            raise ValidationError(f"labels must lie in [0, {q})")
+        features, labels, q = _check_fit_inputs(features, labels, self.n_classes)
         n, d = features.shape
         onehot = np.zeros((n, q))
         onehot[np.arange(n), labels] = 1.0
@@ -97,6 +95,7 @@ class LogisticRegression:
         )
         self.weights_ = solution.x[: d * q].reshape(d, q)
         self.bias_ = solution.x[d * q:]
+        _record_solution(self, solution)
         return self
 
     # ------------------------------------------------------------------
@@ -129,3 +128,33 @@ def _as_matrix(features):
     if arr.ndim != 2:
         raise ValidationError(f"features must be 2-D, got shape {arr.shape}")
     return arr
+
+
+def _check_fit_inputs(features, labels, n_classes: int | None):
+    """Validate a ``fit`` call; return ``(features, labels, q)``."""
+    features = _as_matrix(features)
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.ndim != 1 or labels.size != features.shape[0]:
+        raise ValidationError(
+            "labels must be a 1-D integer array aligned with features rows"
+        )
+    if labels.size == 0:
+        raise ValidationError("cannot fit on an empty training set")
+    q = n_classes if n_classes is not None else int(labels.max()) + 1
+    if labels.min() < 0 or labels.max() >= q:
+        raise ValidationError(f"labels must lie in [0, {q})")
+    return features, labels, q
+
+
+def _record_solution(model, solution) -> None:
+    """Store an L-BFGS-B result's convergence on ``model``; warn if it failed."""
+    model.converged_ = bool(solution.success)
+    model.n_iter_ = int(solution.nit)
+    if not solution.success:
+        warnings.warn(
+            f"{type(model).__name__}: L-BFGS-B did not converge after "
+            f"{model.n_iter_} iterations (max_iter={model.max_iter}): "
+            f"{solution.message}",
+            RuntimeWarning,
+            stacklevel=3,
+        )

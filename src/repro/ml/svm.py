@@ -6,6 +6,22 @@ hinge loss linear SVM — squared hinge keeps the objective differentiable
 so the same scipy L-BFGS-B machinery as
 :class:`~repro.ml.logistic.LogisticRegression` applies; its solutions are
 equivalent in practice to an off-the-shelf ``LinearSVC``.
+
+All ``q`` one-vs-rest margins are fitted by one joint solve over the
+``(d + 1) × q`` parameters ``[W; b]``: with the ``(n, q)`` target matrix
+``T[i, c] = +1`` if ``y_i = c`` else ``-1``,
+
+.. math::
+
+    J(W, b) = \\sum_c \\Big( \\tfrac12 ||w_c||^2
+              + \\frac{C}{n} \\sum_i \\max(0, 1 - T_{ic}(x_i^\\top w_c + b_c))^2 \\Big)
+
+The objective is a sum of independent per-class terms, so its optimum is
+the per-class optimum, while scipy's per-call overhead and the sparse
+products ``X W`` / ``X^T G`` are paid once per fit instead of once per
+class.  ``fit(..., init=(weights, bias))`` warm-starts the solve, which
+the ICA rounds of :class:`~repro.baselines.emr.EMR` use to start each
+round from the previous round's weights.
 """
 
 from __future__ import annotations
@@ -14,7 +30,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from repro.errors import NotFittedError, ValidationError
-from repro.ml.logistic import _as_matrix, softmax
+from repro.ml.logistic import _as_matrix, _check_fit_inputs, _record_solution, softmax
 from repro.utils.validation import check_positive_int
 
 
@@ -26,10 +42,14 @@ class LinearSVM:
     c:
         Inverse regularisation strength (larger = harder margins).
     max_iter:
-        L-BFGS iteration budget per binary problem.
+        L-BFGS iteration budget of the joint solve over all classes.
     n_classes:
         Optional fixed class-space size (see
         :class:`~repro.ml.logistic.LogisticRegression`).
+
+    After :meth:`fit`, ``converged_`` tells whether L-BFGS-B met its
+    stopping rule and ``n_iter_`` how many iterations it took; a solve
+    that did not converge also raises a ``RuntimeWarning``.
     """
 
     def __init__(self, *, c: float = 1.0, max_iter: int = 200, n_classes: int | None = None):
@@ -42,48 +62,54 @@ class LinearSVM:
         self.n_classes = n_classes
         self.weights_: np.ndarray | None = None
         self.bias_: np.ndarray | None = None
+        self.converged_: bool | None = None
+        self.n_iter_: int | None = None
 
-    def fit(self, features, labels) -> "LinearSVM":
-        """Fit one binary margin per class on integer labels."""
-        features = _as_matrix(features)
-        labels = np.asarray(labels, dtype=np.int64)
-        if labels.ndim != 1 or labels.size != features.shape[0]:
-            raise ValidationError(
-                "labels must be a 1-D integer array aligned with features rows"
-            )
-        if labels.size == 0:
-            raise ValidationError("cannot fit on an empty training set")
-        q = self.n_classes if self.n_classes is not None else int(labels.max()) + 1
-        if labels.min() < 0 or labels.max() >= q:
-            raise ValidationError(f"labels must lie in [0, {q})")
+    def fit(self, features, labels, *, init=None) -> "LinearSVM":
+        """Fit one margin per class on integer labels, all in one solve.
+
+        ``init`` is an optional ``(weights, bias)`` pair of shapes
+        ``(d, q)`` and ``(q,)`` to start L-BFGS-B from instead of zero.
+        """
+        features, labels, q = _check_fit_inputs(features, labels, self.n_classes)
         n, d = features.shape
-        weights = np.zeros((d, q))
-        bias = np.zeros(q)
-        for c_idx in range(q):
-            target = np.where(labels == c_idx, 1.0, -1.0)
+        x0 = np.zeros((d + 1, q))
+        if init is not None:
+            weights, bias = (np.asarray(part, dtype=float) for part in init)
+            if weights.shape != (d, q) or bias.shape != (q,):
+                raise ValidationError(
+                    f"init must be (weights, bias) of shapes {(d, q)} and {(q,)}, "
+                    f"got {weights.shape} and {bias.shape}"
+                )
+            x0[:d] = weights
+            x0[d] = bias
+        targets = np.where(labels[:, None] == np.arange(q), 1.0, -1.0)
+        scale = -2.0 * self.c / n
 
-            def objective(flat, target=target):
-                w = flat[:d]
-                b = flat[d]
-                margins = target * (np.asarray(features @ w).ravel() + b)
-                slack = np.clip(1.0 - margins, 0.0, None)
-                loss = 0.5 * float(w @ w) + self.c * float((slack**2).sum()) / n
-                grad_scale = -2.0 * self.c * slack * target / n
-                grad_w = w + np.asarray(features.T @ grad_scale).ravel()
-                grad_b = float(grad_scale.sum())
-                return loss, np.concatenate([grad_w, [grad_b]])
+        def objective(flat):
+            params = flat.reshape(d + 1, q)
+            w = params[:d]
+            margins = targets * (np.asarray(features @ w) + params[d])
+            slack = np.maximum(1.0 - margins, 0.0)
+            loss = 0.5 * float((w * w).sum())
+            loss += self.c * float((slack * slack).sum()) / n
+            grad_scale = scale * slack * targets
+            grad = np.empty_like(params)
+            grad[:d] = w + np.asarray(features.T @ grad_scale)
+            grad[d] = grad_scale.sum(axis=0)
+            return loss, grad.ravel()
 
-            solution = minimize(
-                objective,
-                np.zeros(d + 1),
-                jac=True,
-                method="L-BFGS-B",
-                options={"maxiter": self.max_iter},
-            )
-            weights[:, c_idx] = solution.x[:d]
-            bias[c_idx] = solution.x[d]
-        self.weights_ = weights
-        self.bias_ = bias
+        solution = minimize(
+            objective,
+            x0.ravel(),
+            jac=True,
+            method="L-BFGS-B",
+            options={"maxiter": self.max_iter},
+        )
+        params = solution.x.reshape(d + 1, q)
+        self.weights_ = params[:d].copy()
+        self.bias_ = params[d].copy()
+        _record_solution(self, solution)
         return self
 
     def decision_function(self, features) -> np.ndarray:

@@ -4,7 +4,7 @@ Backs the ``python -m repro.experiments trace-summary`` command: given
 the events of one traced run, compute where the iteration time went
 (the five chain phases), how much of the measured fit wall-clock the
 phase timings account for, and the harness-level trial / grid-cell
-telemetry.
+telemetry, with the trial seconds split by method.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ class TraceSummary:
     operator_seconds: float = 0.0
     n_frozen_events: int = 0
     trial_seconds: float = 0.0
+    method_seconds: dict[str, float] = field(default_factory=dict)
     grid_seconds: float = 0.0
     n_delta_batches: int = 0
     n_deltas: int = 0
@@ -73,12 +74,22 @@ class TraceSummary:
             return float("nan")
         return self.phase_seconds / self.fit_seconds
 
+    @property
+    def method_shares(self) -> dict[str, float]:
+        """Each method's share of ``trial_seconds`` (empty without trials)."""
+        if self.trial_seconds <= 0.0:
+            return {}
+        return {
+            name: seconds / self.trial_seconds
+            for name, seconds in self.method_seconds.items()
+        }
+
     def to_dict(self) -> dict:
         """A JSON-serialisable view (sets become sorted lists, NaN → None).
 
         Backs ``trace-summary --json``; includes the derived
-        ``phase_seconds`` / ``phase_coverage`` so machine consumers need
-        no re-derivation.
+        ``phase_seconds`` / ``phase_coverage`` / ``method_shares`` so
+        machine consumers need no re-derivation.
         """
         data = {}
         for spec in dataclasses.fields(self):
@@ -87,6 +98,7 @@ class TraceSummary:
         data["phase_seconds"] = self.phase_seconds
         coverage = self.phase_coverage
         data["phase_coverage"] = None if math.isnan(coverage) else coverage
+        data["method_shares"] = self.method_shares
         return data
 
 
@@ -114,7 +126,12 @@ def summarize_trace(events) -> TraceSummary:
                 event.get("transition_seconds", 0.0)
             ) + float(event.get("feature_seconds", 0.0))
         elif kind == "trial":
-            summary.trial_seconds += float(event.get("seconds", 0.0))
+            seconds = float(event.get("seconds", 0.0))
+            summary.trial_seconds += seconds
+            method = str(event.get("method") or "?")
+            summary.method_seconds[method] = (
+                summary.method_seconds.get(method, 0.0) + seconds
+            )
         elif kind == "grid_cell":
             summary.grid_seconds += float(event.get("seconds", 0.0))
         elif kind == "delta_apply":
@@ -229,6 +246,15 @@ def format_trace_summary(summary: TraceSummary) -> str:
             f"harness trials: {summary.event_counts.get('trial', 0)} "
             f"({summary.trial_seconds:.4f}s)"
         )
+        shares = summary.method_shares
+        lines.append("method".ljust(18) + "seconds".rjust(10) + "share".rjust(8))
+        lines.append("-" * 36)
+        for name, seconds in sorted(
+            summary.method_seconds.items(), key=lambda kv: -kv[1]
+        ):
+            lines.append(
+                name.ljust(18) + f"{seconds:10.4f}" + f"{shares[name]:7.1%}".rjust(8)
+            )
     if summary.grid_seconds:
         lines.append(
             f"grid cells: {summary.event_counts.get('grid_cell', 0)} "

@@ -232,11 +232,16 @@ class TestSpanPropagation:
         # coordinator's.
         worker_pids = {cell["pid"] for cell in cells}
         assert pool["pid"] not in worker_pids
-        # Worker-side flat events are tagged with their enclosing cell
-        # span, so causality survives the replay into the parent trace.
+        # Worker-side flat events are tagged with their enclosing trial
+        # span, itself a child of its cell span, so causality survives
+        # the replay into the parent trace.
         cell_ids = {cell["span_id"] for cell in cells}
+        trial_parents = {
+            e["span_id"]: e["parent_id"] for e in spans if e["name"] == "trial"
+        }
+        assert len(trial_parents) == n_cells
         for event in recorder.events_of("fit"):
-            assert event["span_id"] in cell_ids
+            assert trial_parents[event["span_id"]] in cell_ids
 
     def test_trial_spans_link_in_trial_level_pool(self, hin):
         from repro.experiments.parallel import run_trials_parallel
@@ -254,6 +259,28 @@ class TestSpanPropagation:
         assert len(trials) == 3
         assert {t["parent_id"] for t in trials} == {pool["span_id"]}
         assert {t["trial"] for t in trials} == {0, 1, 2}
+
+
+    def test_serial_and_pool_trial_spans_match(self, hin):
+        def trial_spans(workers):
+            recorder = ListRecorder(probes=False)
+            for name, factory in methods():
+                evaluate_method(
+                    hin, factory, 0.3, n_trials=3, seed=5, recorder=recorder,
+                    method_name=name, workers=workers,
+                )
+            spans = [e for e in recorder.events_of("span") if e["name"] == "trial"]
+            return recorder, {(e["method"], e["fraction"], e["trial"]) for e in spans}
+
+        serial_recorder, serial = trial_spans(1)
+        _, pooled = trial_spans(2)
+        assert len(serial) == 6
+        assert serial == pooled
+        summary = summarize_trace(serial_recorder.events)
+        assert set(summary.method_seconds) == {"TMark", "TMark-low"}
+        assert sum(summary.method_seconds.values()) == pytest.approx(
+            summary.trial_seconds, rel=1e-12
+        )
 
 
 class TestSpecsAndFingerprint:

@@ -106,3 +106,24 @@ class TestLogisticRegression:
         features = np.random.default_rng(0).normal(size=(5, 2))
         model = LogisticRegression(n_classes=3).fit(features, np.zeros(5, dtype=int))
         assert np.all(model.predict(features) == 0)
+
+
+class TestConvergenceReport:
+    def test_converged_fit_sets_attributes_silently(self, rng):
+        import warnings
+
+        features, labels = blobs(rng)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = LogisticRegression().fit(features, labels)
+        assert model.converged_ is True
+        assert model.n_iter_ >= 1
+
+    def test_budget_exhausted_warns(self, rng):
+        features, labels = blobs(rng, sep=1.0)
+        with pytest.warns(
+            RuntimeWarning, match=r"LogisticRegression: .* after 1 iterations"
+        ):
+            model = LogisticRegression(max_iter=1).fit(features, labels)
+        assert model.converged_ is False
+        assert model.n_iter_ == 1

@@ -2,6 +2,8 @@
 
 import math
 
+import pytest
+
 from repro.obs import CHAIN_PHASES, format_trace_summary, summarize_trace
 
 
@@ -72,6 +74,28 @@ class TestSummarizeTrace:
         assert summary.max_mass_drift == 4e-12
         assert summary.min_probe_entry == 5e-7
 
+    def test_trial_seconds_split_by_method(self):
+        events = [
+            {"event": "trial", "method": "EMR", "seconds": 0.3},
+            {"event": "trial", "method": "T-Mark", "seconds": 0.1},
+            {"event": "trial", "method": "EMR", "seconds": 0.5},
+            {"event": "trial", "seconds": 0.1},
+        ]
+        summary = summarize_trace(events)
+        assert summary.method_seconds == pytest.approx(
+            {"EMR": 0.8, "T-Mark": 0.1, "?": 0.1}
+        )
+        assert sum(summary.method_seconds.values()) == pytest.approx(
+            summary.trial_seconds
+        )
+        assert summary.method_shares["EMR"] == pytest.approx(0.8)
+        data = summary.to_dict()
+        assert data["method_seconds"] == summary.method_seconds
+        assert data["method_shares"] == summary.method_shares
+
+    def test_no_trials_means_no_method_shares(self):
+        assert summarize_trace([]).method_shares == {}
+
     def test_probe_without_entry_fields_keeps_min_none(self):
         summary = summarize_trace([{"event": "invariant_probe", "t": 1}])
         assert summary.n_probes == 1
@@ -86,6 +110,15 @@ class TestFormatTraceSummary:
         assert "phase coverage" in text
         assert "grid cells: 1" in text
         assert "counters: chain_iterations=1, fits=1" in text
+
+    def test_renders_per_method_breakdown(self):
+        events = [
+            {"event": "trial", "method": "EMR", "seconds": 0.75},
+            {"event": "trial", "method": "T-Mark", "seconds": 0.25},
+        ]
+        lines = format_trace_summary(summarize_trace(events)).splitlines()
+        assert any(line.split() == ["EMR", "0.7500", "75.0%"] for line in lines)
+        assert any(line.split() == ["T-Mark", "0.2500", "25.0%"] for line in lines)
 
     def test_empty_trace_renders(self):
         assert "0 events" in format_trace_summary(summarize_trace([]))
